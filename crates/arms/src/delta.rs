@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use crate::stream::StreamEntry;
+use crate::pool::StreamEntry;
 use crate::stride::StridePredictor;
 use crate::{ArmHit, ArmKind, ArmStats, Prefetcher, RefillList, MAX_STREAM_ENTRIES};
 

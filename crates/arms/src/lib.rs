@@ -47,6 +47,7 @@
 pub mod adaptive;
 pub mod delta;
 pub mod nextline;
+mod pool;
 pub mod stream;
 pub mod stride;
 
@@ -124,7 +125,7 @@ pub struct ArmHit {
 
 /// Hard upper bound on entries per buffer slot and per allocation burst
 /// (the paper's deepest configuration is 8; the adaptive arm climbs to 16);
-/// sizes [`RefillList`]'s inline storage.
+/// sizes the inline storage of [`RefillList`] and of every buffer slot.
 pub const MAX_STREAM_ENTRIES: usize = 16;
 
 /// Up to one buffer depth of refill addresses, stored inline.

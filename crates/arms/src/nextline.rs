@@ -7,7 +7,7 @@
 //! program. `degree` is fixed here; [`crate::AdaptiveNextLinePrefetcher`]
 //! drives the same pool with a hill-climbed degree.
 
-use crate::stream::Buffer;
+use crate::pool::StreamPool;
 use crate::{ArmHit, ArmKind, ArmStats, Prefetcher, RefillList, MAX_STREAM_ENTRIES};
 
 /// Configuration of the fixed-degree next-line arm.
@@ -32,13 +32,8 @@ impl Default for NextLineConfig {
 /// line and whose allocation needs no predictor confidence. Shared by the
 /// fixed and adaptive arms, which differ only in how `degree` is chosen.
 pub(crate) struct LinePool {
-    pub(crate) buffers: Vec<Buffer>,
+    pool: StreamPool,
     pub(crate) degree: usize,
-    line_bytes: u64,
-    clock: u64,
-    pub(crate) issued: u64,
-    pub(crate) useful: u64,
-    pub(crate) allocations: u64,
 }
 
 impl LinePool {
@@ -47,105 +42,41 @@ impl LinePool {
             degree <= MAX_STREAM_ENTRIES,
             "next-line degree {degree} exceeds the inline refill-list bound {MAX_STREAM_ENTRIES}"
         );
-        LinePool {
-            buffers: (0..buffers).map(|_| Buffer::empty()).collect(),
-            degree,
-            line_bytes,
-            clock: 0,
-            issued: 0,
-            useful: 0,
-            allocations: 0,
-        }
-    }
-
-    fn line_of(&self, addr: u64) -> u64 {
-        addr & !(self.line_bytes - 1)
+        LinePool { pool: StreamPool::new(buffers, line_bytes), degree }
     }
 
     pub(crate) fn contains(&self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        self.buffers.iter().any(|b| b.valid && b.entries.iter().any(|e| e.line_addr == line))
+        self.pool.contains(addr)
     }
 
     pub(crate) fn probe_and_consume(&mut self, addr: u64) -> Option<ArmHit> {
-        let line = self.line_of(addr);
-        self.clock += 1;
-        for (bi, b) in self.buffers.iter_mut().enumerate() {
-            if !b.valid {
-                continue;
-            }
-            if let Some(pos) = b.entries.iter().position(|e| e.line_addr == line) {
-                let hit = b.entries[pos];
-                b.entries.drain(..=pos);
-                b.last_use = self.clock;
-                self.useful += 1;
-                return Some(ArmHit { ready_at: hit.ready_at, slot: bi });
-            }
-        }
-        None
+        self.pool.probe_and_consume(addr)
     }
 
+    /// A shrunk degree (the adaptive arm climbing down) simply stops
+    /// refilling; existing entries drain through demand hits.
     pub(crate) fn refill_addresses(&mut self, slot: usize) -> RefillList {
-        let mut out = RefillList::EMPTY;
-        let b = &mut self.buffers[slot];
-        if !b.valid {
-            return out;
-        }
-        // A shrunk degree (the adaptive arm climbing down) simply stops
-        // refilling; existing entries drain through demand hits.
-        let need = self.degree.saturating_sub(b.entries.len());
-        for _ in 0..need {
-            out.push(b.next_addr);
-            b.next_addr = b.next_addr.wrapping_add(self.line_bytes);
-        }
-        out
+        self.pool.refill_addresses(slot, self.degree)
     }
 
     pub(crate) fn push_fill(&mut self, slot: usize, line_addr: u64, ready_at: u64) {
-        let line = self.line_of(line_addr);
-        self.issued += 1;
-        self.buffers[slot]
-            .entries
-            .push_back(crate::stream::StreamEntry { line_addr: line, ready_at });
+        self.pool.push_fill(slot, line_addr, ready_at);
     }
 
+    /// The stream a miss wants starts at the next line; the pool skips the
+    /// allocation when an existing stream already covers (or is about to
+    /// fetch) it — the miss is part of a walk that is already streaming.
     pub(crate) fn consider_allocation(&mut self, addr: u64) -> Option<(usize, RefillList)> {
         if self.degree == 0 {
             return None;
         }
-        self.clock += 1;
-        // The stream this miss wants starts at the next line; skip the
-        // allocation when an existing stream already covers (or is about to
-        // fetch) it — the miss is part of a walk that is already streaming.
-        let first = self.line_of(addr).wrapping_add(self.line_bytes);
-        if self.buffers.iter().any(|b| {
-            b.valid
-                && (self.line_of(b.next_addr) == first
-                    || b.entries.iter().any(|e| e.line_addr == first))
-        }) {
-            return None;
-        }
-        let victim = self.buffers.iter().position(|b| !b.valid).unwrap_or_else(|| {
-            self.buffers
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, b)| b.last_use)
-                .map(|(i, _)| i)
-                .expect("at least one buffer")
-        });
-        let b = &mut self.buffers[victim];
-        b.valid = true;
-        b.entries.clear();
-        b.stride = self.line_bytes as i64;
-        b.next_addr = first;
-        b.last_use = self.clock;
-        self.allocations += 1;
-        let addrs = self.refill_addresses(victim);
-        Some((victim, addrs))
+        let line_bytes = self.pool.line_bytes();
+        let first = self.pool.line_of(addr).wrapping_add(line_bytes);
+        self.pool.allocate(first, line_bytes as i64, self.degree)
     }
 
     pub(crate) fn stats(&self) -> ArmStats {
-        ArmStats { issued: self.issued, useful: self.useful, allocations: self.allocations }
+        self.pool.stats()
     }
 }
 

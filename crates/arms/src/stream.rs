@@ -10,12 +10,11 @@
 //! once the predictor is confident, allocates a buffer (LRU) that runs ahead
 //! of the load.
 //!
-//! Ported unchanged from `tdo-mem` behind the [`Prefetcher`] trait; the
-//! call sequence and every decision are bit-identical to the pre-arsenal
-//! implementation.
+//! Ported from `tdo-mem` behind the [`Prefetcher`] trait, with the buffers
+//! kept in the slot pool the next-line arms share; the call sequence and
+//! every decision are bit-identical to the pre-arsenal implementation.
 
-use std::collections::VecDeque;
-
+use crate::pool::StreamPool;
 use crate::stride::StridePredictor;
 use crate::{ArmHit, ArmKind, ArmStats, Prefetcher, RefillList, MAX_STREAM_ENTRIES};
 
@@ -57,42 +56,11 @@ impl StreamBufferConfig {
     }
 }
 
-/// One prefetched line sitting in a buffer.
-#[derive(Clone, Copy, Debug)]
-pub struct StreamEntry {
-    /// Line-aligned address.
-    pub line_addr: u64,
-    /// Cycle at which the fill completes.
-    pub ready_at: u64,
-}
-
-pub(crate) struct Buffer {
-    pub(crate) valid: bool,
-    pub(crate) entries: VecDeque<StreamEntry>,
-    pub(crate) stride: i64,
-    pub(crate) next_addr: u64,
-    pub(crate) last_use: u64,
-}
-
-impl Buffer {
-    pub(crate) fn empty() -> Buffer {
-        Buffer { valid: false, entries: VecDeque::new(), stride: 0, next_addr: 0, last_use: 0 }
-    }
-}
-
 /// The set of stream buffers.
 pub struct StreamBuffers {
     cfg: StreamBufferConfig,
     predictor: StridePredictor,
-    buffers: Vec<Buffer>,
-    line_bytes: u64,
-    clock: u64,
-    /// Total lines fetched into buffers (stat).
-    pub issued: u64,
-    /// Total buffer hits (stat).
-    pub hits: u64,
-    /// Total buffer allocations (stat).
-    pub allocations: u64,
+    pool: StreamPool,
 }
 
 impl StreamBuffers {
@@ -108,16 +76,10 @@ impl StreamBuffers {
             "buffer depth {} exceeds the inline refill-list bound {MAX_STREAM_ENTRIES}",
             cfg.entries_per_buffer
         );
-        let buffers = (0..cfg.buffers).map(|_| Buffer::empty()).collect();
         StreamBuffers {
             predictor: StridePredictor::new(cfg.history_entries),
             cfg,
-            buffers,
-            line_bytes,
-            clock: 0,
-            issued: 0,
-            hits: 0,
-            allocations: 0,
+            pool: StreamPool::new(cfg.buffers, line_bytes),
         }
     }
 
@@ -125,10 +87,6 @@ impl StreamBuffers {
     #[must_use]
     pub fn config(&self) -> &StreamBufferConfig {
         &self.cfg
-    }
-
-    fn line_of(&self, addr: u64) -> u64 {
-        addr & !(self.line_bytes - 1)
     }
 }
 
@@ -144,48 +102,21 @@ impl Prefetcher for StreamBuffers {
     }
 
     fn contains(&self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        self.buffers.iter().any(|b| b.valid && b.entries.iter().any(|e| e.line_addr == line))
+        self.pool.contains(addr)
     }
 
     /// Probes all buffers for the line containing `addr` and, on a hit,
     /// consumes entries up to and including it.
     fn probe_and_consume(&mut self, addr: u64) -> Option<ArmHit> {
-        let line = self.line_of(addr);
-        self.clock += 1;
-        for (bi, b) in self.buffers.iter_mut().enumerate() {
-            if !b.valid {
-                continue;
-            }
-            if let Some(pos) = b.entries.iter().position(|e| e.line_addr == line) {
-                let hit = b.entries[pos];
-                b.entries.drain(..=pos);
-                b.last_use = self.clock;
-                self.hits += 1;
-                return Some(ArmHit { ready_at: hit.ready_at, slot: bi });
-            }
-        }
-        None
+        self.pool.probe_and_consume(addr)
     }
 
     fn refill_addresses(&mut self, slot: usize) -> RefillList {
-        let mut out = RefillList::EMPTY;
-        let b = &mut self.buffers[slot];
-        if !b.valid {
-            return out;
-        }
-        let need = self.cfg.entries_per_buffer.saturating_sub(b.entries.len());
-        for _ in 0..need {
-            out.push(b.next_addr);
-            b.next_addr = b.next_addr.wrapping_add(b.stride as u64);
-        }
-        out
+        self.pool.refill_addresses(slot, self.cfg.entries_per_buffer)
     }
 
     fn push_fill(&mut self, slot: usize, line_addr: u64, ready_at: u64) {
-        let line = self.line_of(line_addr);
-        self.issued += 1;
-        self.buffers[slot].entries.push_back(StreamEntry { line_addr: line, ready_at });
+        self.pool.push_fill(slot, line_addr, ready_at);
     }
 
     /// Considers allocating a buffer for a demand miss at `(pc, addr)`:
@@ -195,48 +126,25 @@ impl Prefetcher for StreamBuffers {
         let stride = self.predictor.predict(pc, self.cfg.allocation_confidence)?;
         // Skip tiny strides inside one line: next-line behaviour is already
         // covered by stride-1-line streams; a zero line-delta stream is useless.
-        let line_stride = if stride.unsigned_abs() < self.line_bytes {
+        let line_bytes = self.pool.line_bytes();
+        let line_stride = if stride.unsigned_abs() < line_bytes {
             if stride > 0 {
-                self.line_bytes as i64
+                line_bytes as i64
             } else {
-                -(self.line_bytes as i64)
+                -(line_bytes as i64)
             }
         } else {
             stride
         };
-        self.clock += 1;
-        // Avoid duplicate streams: an existing buffer already holds (or is
-        // about to fetch) the line this stream would start with.
-        let first = self.line_of(addr.wrapping_add(line_stride as u64));
-        if self.buffers.iter().any(|b| {
-            b.valid
-                && b.stride == line_stride
-                && (self.line_of(b.next_addr) == first
-                    || b.entries.iter().any(|e| e.line_addr == first))
-        }) {
-            return None;
-        }
-        let victim = self.buffers.iter().position(|b| !b.valid).unwrap_or_else(|| {
-            self.buffers
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, b)| b.last_use)
-                .map(|(i, _)| i)
-                .expect("at least one buffer")
-        });
-        let b = &mut self.buffers[victim];
-        b.valid = true;
-        b.entries.clear();
-        b.stride = line_stride;
-        b.next_addr = addr.wrapping_add(line_stride as u64);
-        b.last_use = self.clock;
-        self.allocations += 1;
-        let addrs = self.refill_addresses(victim);
-        Some((victim, addrs))
+        self.pool.allocate(
+            addr.wrapping_add(line_stride as u64),
+            line_stride,
+            self.cfg.entries_per_buffer,
+        )
     }
 
     fn stats(&self) -> ArmStats {
-        ArmStats { issued: self.issued, useful: self.hits, allocations: self.allocations }
+        self.pool.stats()
     }
 }
 
@@ -266,7 +174,6 @@ mod tests {
         // Now the streamed line hits.
         let hit = s.probe_and_consume(0x1100).expect("buffer hit");
         assert_eq!(hit.ready_at, 100);
-        assert_eq!(s.hits, 1);
         assert_eq!(s.stats().useful, 1);
     }
 
@@ -310,13 +217,13 @@ mod tests {
             s.push_fill(buf, *a, 0);
         }
         assert!(s.consider_allocation(0x40, 0x4100).is_none());
-        assert_eq!(s.allocations, 1);
+        assert_eq!(s.stats().allocations, 1);
     }
 
     #[test]
     fn probe_miss_returns_none() {
         let mut s = sb();
         assert!(s.probe_and_consume(0x9999).is_none());
-        assert_eq!(s.hits, 0);
+        assert_eq!(s.stats().useful, 0);
     }
 }

@@ -81,12 +81,15 @@ fn bench_cache() {
             black_box(cache.lookup(black_box(i * 64)));
         }
     });
+    // Built once: `Hierarchy::new` costs far more than a pass of loads.
+    // The walk continues across passes, so every pass streams fresh lines.
+    let mut h = Hierarchy::new(MemConfig::paper_baseline());
+    let (mut now, mut addr) = (0u64, 0x10_0000u64);
     bench("mem/hierarchy_load_stream", 1024, || {
-        let mut h = Hierarchy::new(MemConfig::paper_baseline());
-        let mut now = 0;
-        for i in 0..1024u64 {
-            let r = h.load(now, 0x400, 0x10_0000 + i * 8);
+        for _ in 0..1024 {
+            let r = h.load(now, 0x400, addr);
             now += r.latency / 4;
+            addr += 8;
         }
         black_box(h.stats.loads());
     });

@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 
 use tdo_isa::{encode, patch_prefetch_distance, Inst, Reg, Word};
+use tdo_mem::FastMap;
 use tdo_obs::{Event, LoadClassKind, PrefetchGroupKind, SharedProbe};
 use tdo_trident::{
     CodeSource, HotEvent, InstallError, Patch, PendingInstall, TraceId, TraceOp, Trident,
@@ -161,8 +162,10 @@ pub struct PrefetchOptimizer {
     /// Group state keyed by (trace head, representative load original PC) —
     /// stable across trace re-installations.
     states: HashMap<(u64, u64), GroupState>,
-    /// Member original PC → representative PC, per trace head.
-    member_to_rep: HashMap<(u64, u64), u64>,
+    /// Member original PC → representative PC, per trace head. Consulted
+    /// on every in-trace L1 miss ([`PrefetchOptimizer::is_covered`]), so
+    /// it uses the fast integer hasher.
+    member_to_rep: FastMap<(u64, u64), u64>,
     /// Counters.
     pub stats: OptimizerStats,
     /// Decision-audit ledger: one record per in-place distance repair.
@@ -183,7 +186,7 @@ impl PrefetchOptimizer {
         PrefetchOptimizer {
             cfg,
             states: HashMap::new(),
-            member_to_rep: HashMap::new(),
+            member_to_rep: FastMap::default(),
             stats: OptimizerStats::default(),
             ledger: crate::DecisionLedger::new(),
             probe: tdo_obs::null_probe(),

@@ -24,12 +24,20 @@
 //! drop. When a `tdo_metrics::Registry` is supplied ([`arm_with_registry`]),
 //! fired injections are counted under `tdo_fault_injected_total{site}` —
 //! the family is absent from registries of processes that never arm.
+//!
+//! **Hold points.** Concurrency tests need an operation to be in flight
+//! while they act. Production code marks such places with [`hold_point`];
+//! a test that owns a [`Hold`] for the same key parks every thread that
+//! reaches it until the hold is dropped. Hold points fail nothing, are not
+//! [`Site`]s, and take no part in plans, seeded decisions or coverage
+//! summaries. With no hold alive a hold point costs one relaxed atomic
+//! load.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use tdo_metrics::{Counter, Registry};
 use tdo_rand::Rng;
@@ -351,6 +359,62 @@ pub fn summary() -> Vec<SiteSummary> {
         .collect()
 }
 
+static HOLDING: AtomicBool = AtomicBool::new(false);
+
+/// The keys currently held, and the condition parked threads wait on.
+fn holds() -> &'static (Mutex<Vec<u64>>, Condvar) {
+    static HOLDS: OnceLock<(Mutex<Vec<u64>>, Condvar)> = OnceLock::new();
+    HOLDS.get_or_init(|| (Mutex::new(Vec::new()), Condvar::new()))
+}
+
+fn lock_holds() -> MutexGuard<'static, Vec<u64>> {
+    holds().0.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A test-owned latch on every [`hold_point`] reached with its key: while
+/// the `Hold` is alive those threads park; dropping it releases them.
+///
+/// Keys are caller-chosen (the engine uses the cell's store key), so tests
+/// running in parallel in one process hold only their own operations.
+pub struct Hold {
+    key: u64,
+}
+
+impl Hold {
+    /// Starts holding `key`.
+    #[must_use]
+    pub fn new(key: u64) -> Hold {
+        lock_holds().push(key);
+        HOLDING.store(true, Ordering::SeqCst);
+        Hold { key }
+    }
+}
+
+impl Drop for Hold {
+    fn drop(&mut self) {
+        let mut held = lock_holds();
+        if let Some(i) = held.iter().position(|&k| k == self.key) {
+            held.swap_remove(i);
+        }
+        if held.is_empty() {
+            HOLDING.store(false, Ordering::SeqCst);
+        }
+        holds().1.notify_all();
+    }
+}
+
+/// Parks the calling thread while any [`Hold`] on `key` is alive; returns
+/// at once otherwise.
+pub fn hold_point(key: u64) {
+    if !HOLDING.load(Ordering::Relaxed) {
+        return;
+    }
+    let mut held = lock_holds();
+    while held.contains(&key) {
+        held = holds().1.wait(held).unwrap_or_else(std::sync::PoisonError::into_inner);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,6 +502,24 @@ mod tests {
             prom.contains("tdo_fault_injected_total{site=\"store_short_write\"} 0"),
             "armed-but-silent site renders zero: {prom}"
         );
+    }
+
+    #[test]
+    fn hold_parks_its_key_until_dropped() {
+        let hold = Hold::new(0xfeed_0001);
+        hold_point(0xfeed_0002); // another key passes straight through
+        let (tx, rx) = std::sync::mpsc::channel();
+        let parked = std::thread::spawn(move || {
+            hold_point(0xfeed_0001);
+            tx.send(()).expect("test still listening");
+        });
+        assert!(
+            rx.recv_timeout(std::time::Duration::from_millis(50)).is_err(),
+            "the held thread must not pass"
+        );
+        drop(hold);
+        rx.recv().expect("released thread passes");
+        parked.join().expect("no panic");
     }
 
     #[test]

@@ -27,17 +27,17 @@ impl CacheConfig {
     }
 }
 
-#[derive(Clone, Copy, Default)]
-struct Line {
-    valid: bool,
-    tag: u64,
-    /// Set when the line was brought in by a prefetch and has not yet been
-    /// touched by a demand access (drives the Figure 6 breakdown).
-    prefetched: bool,
-    /// Set by stores; a dirty victim costs a write-back bus transfer.
-    dirty: bool,
-    last_use: u64,
-}
+/// Tag of an empty way. Real tags are `addr >> (line_shift + index bits)`
+/// with `line_shift >= 1`, so they never reach `u64::MAX`.
+const INVALID: u64 = u64::MAX;
+
+/// Per-way state bit: brought in by a prefetch and not yet touched by a
+/// demand access (drives the Figure 6 breakdown).
+const PREFETCHED: u8 = 1;
+
+/// Per-way state bit: written by a store; a dirty victim costs a
+/// write-back bus transfer.
+const DIRTY: u8 = 2;
 
 /// Result of a demand lookup that hit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,13 +59,21 @@ pub struct Eviction {
 
 /// A tag-only set-associative cache with true-LRU replacement.
 ///
+/// Ways are stored as three parallel arrays — tags, LRU stamps, state
+/// bits — so a walk scans only the `assoc` tags of one set, and victim
+/// choice scans only their stamps. An empty way has tag [`INVALID`] and
+/// stamp 0; every fill or touch stamps a way with a fresh clock value of
+/// at least 1, so the first minimum-stamp way of a set is its first empty
+/// way when one exists and its least recently used way otherwise.
+///
 /// All geometry derived from the configuration — set mask, tag shift, way
 /// count — is precomputed at construction, so the per-access walk is one
-/// shift/mask/multiply plus a short tag scan with no recomputation (the
-/// tag shift used to be a `count_ones()` per access).
+/// shift/mask/multiply plus a short tag scan with no recomputation.
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Line>,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    bits: Vec<u8>,
     set_mask: u64,
     line_shift: u32,
     /// `tag = line >> tag_shift` (index bits removed); equals
@@ -78,12 +86,21 @@ pub struct Cache {
 
 impl Cache {
     /// Builds a cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set count is not a power of two or lines are smaller
+    /// than two bytes.
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Cache {
         let sets = cfg.num_sets();
+        assert!(cfg.line_bytes >= 2, "line size must be at least two bytes");
+        let n = (sets * u64::from(cfg.assoc)) as usize;
         Cache {
             cfg,
-            sets: vec![Line::default(); (sets * u64::from(cfg.assoc)) as usize],
+            tags: vec![INVALID; n],
+            stamps: vec![0; n],
+            bits: vec![0; n],
             set_mask: sets - 1,
             line_shift: cfg.line_bytes.trailing_zeros(),
             tag_shift: (sets - 1).count_ones(),
@@ -98,20 +115,22 @@ impl Cache {
         &self.cfg
     }
 
-    /// The read-only half of every walk: locates the valid line holding
-    /// `addr`, returning its index into `sets`. Shared by the hit paths of
-    /// [`Cache::lookup`], [`Cache::probe`], [`Cache::mark_dirty`] and
-    /// [`Cache::invalidate`], which differ only in what they mutate after
-    /// finding it.
+    /// The set index and tag of `addr`.
+    #[inline]
+    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+        let line = addr >> self.line_shift;
+        ((line & self.set_mask) as usize, line >> self.tag_shift)
+    }
+
+    /// The read-only half of every walk: locates the way holding `addr`,
+    /// returning its index. Shared by the hit paths of [`Cache::lookup`],
+    /// [`Cache::probe`], [`Cache::mark_dirty`] and [`Cache::invalidate`],
+    /// which differ only in what they mutate after finding it.
     #[inline]
     fn find(&self, addr: u64) -> Option<usize> {
-        let line = addr >> self.line_shift;
-        let base = ((line & self.set_mask) as usize) * self.ways;
-        let tag = line >> self.tag_shift;
-        self.sets[base..base + self.ways]
-            .iter()
-            .position(|l| l.valid && l.tag == tag)
-            .map(|i| base + i)
+        let (set, tag) = self.set_and_tag(addr);
+        let base = set * self.ways;
+        self.tags[base..base + self.ways].iter().position(|&t| t == tag).map(|i| base + i)
     }
 
     /// Demand lookup: returns hit info and clears the line's prefetch bit.
@@ -125,10 +144,9 @@ impl Cache {
     pub fn lookup(&mut self, addr: u64) -> Option<HitInfo> {
         let i = self.find(addr)?;
         self.stamp += 1;
-        let l = &mut self.sets[i];
-        l.last_use = self.stamp;
-        let first = l.prefetched;
-        l.prefetched = false;
+        self.stamps[i] = self.stamp;
+        let first = self.bits[i] & PREFETCHED != 0;
+        self.bits[i] &= !PREFETCHED;
         Some(HitInfo { first_touch_of_prefetch: first })
     }
 
@@ -144,40 +162,31 @@ impl Cache {
     /// will report [`HitInfo::first_touch_of_prefetch`]).
     pub fn insert(&mut self, addr: u64, prefetched: bool) -> Option<Eviction> {
         self.stamp += 1;
-        let line = addr >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
+        let (set, tag) = self.set_and_tag(addr);
         let base = set * self.ways;
-        let tag = line >> self.tag_shift;
         // Already present: refresh.
-        if let Some(l) =
-            self.sets[base..base + self.ways].iter_mut().find(|l| l.valid && l.tag == tag)
-        {
-            l.last_use = self.stamp;
+        if let Some(i) = self.tags[base..base + self.ways].iter().position(|&t| t == tag) {
+            self.stamps[base + i] = self.stamp;
             return None;
         }
-        // Free way?
-        let victim_idx = match self.sets[base..base + self.ways].iter().position(|l| !l.valid) {
-            Some(i) => base + i,
-            None => {
-                let (i, _) = self.sets[base..base + self.ways]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.last_use)
-                    .expect("assoc > 0");
-                base + i
-            }
-        };
-        let victim = self.sets[victim_idx];
-        let evicted = victim.valid.then(|| {
-            let line = (victim.tag << self.tag_shift) | set as u64;
+        // First empty way, else the least recently used one.
+        let (i, _) = self.stamps[base..base + self.ways]
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &s)| s)
+            .expect("assoc > 0");
+        let v = base + i;
+        let evicted = (self.tags[v] != INVALID).then(|| {
+            let line = (self.tags[v] << self.tag_shift) | set as u64;
             Eviction {
                 line_addr: line << self.line_shift,
-                was_untouched_prefetch: victim.prefetched,
-                was_dirty: victim.dirty,
+                was_untouched_prefetch: self.bits[v] & PREFETCHED != 0,
+                was_dirty: self.bits[v] & DIRTY != 0,
             }
         });
-        self.sets[victim_idx] =
-            Line { valid: true, tag, prefetched, dirty: false, last_use: self.stamp };
+        self.tags[v] = tag;
+        self.stamps[v] = self.stamp;
+        self.bits[v] = if prefetched { PREFETCHED } else { 0 };
         evicted
     }
 
@@ -186,7 +195,7 @@ impl Cache {
     pub fn mark_dirty(&mut self, addr: u64) -> bool {
         match self.find(addr) {
             Some(i) => {
-                self.sets[i].dirty = true;
+                self.bits[i] |= DIRTY;
                 true
             }
             None => false,
@@ -196,7 +205,8 @@ impl Cache {
     /// Invalidates the line containing `addr`, if present.
     pub fn invalidate(&mut self, addr: u64) {
         if let Some(i) = self.find(addr) {
-            self.sets[i].valid = false;
+            self.tags[i] = INVALID;
+            self.stamps[i] = 0;
         }
     }
 

@@ -1,4 +1,7 @@
-//! A minimal multiply-xor hasher for the hierarchy's `u64`-keyed tables.
+//! A minimal multiply-xor hasher for the simulator's integer-keyed tables:
+//! the hierarchy's page table and displacement log, and the optimizer's
+//! per-miss coverage map in `tdo-core`. It is the workspace's one fast
+//! hasher; other crates import it from here.
 //!
 //! `std`'s default SipHash is DoS-resistant but costs tens of cycles per
 //! key — measurable on the page-table lookup every simulated load makes.

@@ -5,8 +5,11 @@ use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use tdo_fault::Hold;
 use tdo_server::client::{self, Response};
 use tdo_server::{Server, ServerConfig, ServerHandle};
+use tdo_sim::{cell_key, Cell, PrefetchSetup, SimConfig};
+use tdo_workloads::Scale;
 
 /// Starts a server on an ephemeral port, storeless by default (tests that
 /// want persistence pass a directory).
@@ -58,9 +61,16 @@ fn post_run(addr: &str, body: &str) -> Response {
     client::post(addr, "/run", body).expect("POST /run")
 }
 
-/// A cell slow enough (~seconds in a debug build) that concurrent clients
-/// reliably overlap with its simulation.
-const SLOW_CELL: &str = r#"{"workload":"swim","arm":"sr","insts":400000}"#;
+/// A `/run` body for a short `swim` cell, plus a [`Hold`] that parks its
+/// simulation at the engine's hold point until the test drops it: the
+/// overlap these tests need is built, not hoped for. `insts` tells the
+/// tests' cells apart, so tests running in parallel hold only their own.
+fn held_cell(insts: u64) -> (String, Hold) {
+    let mut cfg = SimConfig::test(PrefetchSetup::SwSelfRepair);
+    cfg.measure_insts = insts;
+    let key = cell_key(&Cell::new("swim", Scale::Test, cfg));
+    (format!(r#"{{"workload":"swim","arm":"sr","insts":{insts}}}"#), Hold::new(key))
+}
 
 #[test]
 fn routing_and_error_paths() {
@@ -113,22 +123,24 @@ fn routing_and_error_paths() {
 #[test]
 fn identical_concurrent_runs_single_flight_into_one_simulation() {
     let (addr, handle, t) = start(4, 8);
+    let (cell, hold) = held_cell(5001);
 
     // Leader first; wait until its simulation is observably in flight.
     let leader = {
-        let addr = addr.clone();
-        std::thread::spawn(move || post_run(&addr, SLOW_CELL))
+        let (addr, cell) = (addr.clone(), cell.clone());
+        std::thread::spawn(move || post_run(&addr, &cell))
     };
     wait_for(&addr, "leader in flight", |m| counter(m, "runs_inflight") == 1);
 
-    // Three identical followers arrive while the leader is simulating.
+    // Three identical followers arrive while the leader is held.
     let followers: Vec<_> = (0..3)
         .map(|_| {
-            let addr = addr.clone();
-            std::thread::spawn(move || post_run(&addr, SLOW_CELL))
+            let (addr, cell) = (addr.clone(), cell.clone());
+            std::thread::spawn(move || post_run(&addr, &cell))
         })
         .collect();
     wait_for(&addr, "followers coalesced", |m| counter(m, "coalesced") == 3);
+    drop(hold);
 
     let mut bodies = vec![leader.join().unwrap()];
     bodies.extend(followers.into_iter().map(|f| f.join().unwrap()));
@@ -158,10 +170,11 @@ fn full_queue_sheds_with_503() {
     // the third request must shed — deterministically, because we gate each
     // step on the (inline-served) metrics.
     let (addr, handle, t) = start(1, 1);
+    let (cell, hold) = held_cell(5002);
 
     let inflight = {
         let addr = addr.clone();
-        std::thread::spawn(move || post_run(&addr, SLOW_CELL))
+        std::thread::spawn(move || post_run(&addr, &cell))
     };
     wait_for(&addr, "slow run in flight", |m| counter(m, "runs_inflight") == 1);
 
@@ -181,6 +194,7 @@ fn full_queue_sheds_with_503() {
     assert_eq!(counter(&m, "shed"), 1, "{m}");
 
     // The admitted requests still complete normally.
+    drop(hold);
     assert_eq!(inflight.join().unwrap().status, 200);
     assert_eq!(queued.join().unwrap().status, 200);
 
@@ -450,17 +464,19 @@ fn metrics_history_is_byte_deterministic_when_idle() {
 #[test]
 fn shutdown_endpoint_stops_the_daemon_and_drains_the_queue() {
     let (addr, _handle, t) = start(2, 4);
+    let (cell, hold) = held_cell(5003);
 
     // Something in flight when shutdown arrives.
     let running = {
         let addr = addr.clone();
-        std::thread::spawn(move || post_run(&addr, SLOW_CELL))
+        std::thread::spawn(move || post_run(&addr, &cell))
     };
     wait_for(&addr, "run in flight", |m| counter(m, "runs_inflight") == 1);
 
     let r = client::post(&addr, "/shutdown", "").unwrap();
     assert_eq!(r.status, 200);
     assert!(r.body.contains("shutting_down"));
+    drop(hold);
 
     // The in-flight request finishes (drained, not dropped)...
     assert_eq!(running.join().unwrap().status, 200);

@@ -568,9 +568,11 @@ impl Runner {
 
     /// Runs one fresh simulation, counting it and timing its wall clock.
     fn simulate_timed(&self, cell: &Cell) -> SimResult {
-        if tdo_fault::fire_keyed(Site::EngineCellPanic, fingerprint_hash(&cell.fingerprint()))
-            .is_some()
-        {
+        let key = fingerprint_hash(&cell.fingerprint());
+        // Tests that need this simulation in flight hold it here by its
+        // store key (`cell_key`).
+        tdo_fault::hold_point(key);
+        if tdo_fault::fire_keyed(Site::EngineCellPanic, key).is_some() {
             panic!("injected cell panic: `{}`", cell.workload);
         }
         self.sims.inc();

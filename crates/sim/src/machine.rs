@@ -38,6 +38,18 @@ struct PcInfo {
     /// (glue jump, zero weight).
     index: usize,
     weight: u32,
+    /// The trace's original-code head.
+    head: u64,
+    /// Original-code PC of the instruction at `index` (fixed for the
+    /// trace's lifetime: in-place repairs rewrite only the operation).
+    orig_pc: u64,
+}
+
+/// What the machine keeps about a trace while it is installed.
+#[derive(Clone, Copy)]
+struct LiveTrace {
+    head: u64,
+    len: usize,
 }
 
 enum PendingJob {
@@ -264,9 +276,8 @@ pub struct Machine {
     dlt: Dlt,
     optimizer: PrefetchOptimizer,
     pc_map: PcMap,
-    trace_pcs: HashMap<TraceId, Vec<u64>>,
-    trace_len: HashMap<TraceId, usize>,
-    trace_head: HashMap<TraceId, u64>,
+    /// Installed traces, indexed by [`TraceId`]; `None` once retired.
+    live: Vec<Option<LiveTrace>>,
     cur_trace: Option<(TraceId, usize)>,
     pending_job: Option<(u64, PendingJob)>,
     next_job_id: u64,
@@ -341,9 +352,7 @@ impl Machine {
                 workload.program.code.len(),
                 cfg.trident.code_cache_base,
             ),
-            trace_pcs: HashMap::new(),
-            trace_len: HashMap::new(),
-            trace_head: HashMap::new(),
+            live: Vec::new(),
             cur_trace: None,
             pending_job: None,
             next_job_id: 0,
@@ -451,9 +460,8 @@ impl Machine {
     /// Identifiers of all currently installed traces.
     #[must_use]
     pub fn installed_traces(&self) -> Vec<TraceId> {
-        let mut ids: Vec<TraceId> = self.trace_len.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        let ids = self.live.iter().enumerate().filter(|(_, t)| t.is_some());
+        ids.map(|(i, _)| TraceId(i as u32)).collect()
     }
 
     fn run_inner(&mut self) -> SimResult {
@@ -739,13 +747,13 @@ impl Machine {
                 if let Some(i) = in_trace {
                     if result.l1_miss {
                         self.counters.load_misses_in_traces += 1;
-                        if let (Some(head), Some(t)) =
-                            (self.trace_head.get(&i.trace), self.trident.trace(i.trace))
+                        // Covered only while both the machine and Trident
+                        // still hold the trace.
+                        if self.live_trace(i.trace).is_some()
+                            && self.trident.trace(i.trace).is_some()
+                            && self.optimizer.is_covered(i.head, i.orig_pc)
                         {
-                            let orig = t.insts[i.index].orig_pc;
-                            if self.optimizer.is_covered(*head, orig) {
-                                self.counters.load_misses_covered += 1;
-                            }
+                            self.counters.load_misses_covered += 1;
                         }
                     }
                     // DLT: hardware updates for hot-trace loads.
@@ -778,7 +786,7 @@ impl Machine {
     }
 
     fn exit_trace(&mut self, trace: TraceId, last_idx: usize, now: u64) {
-        let len = self.trace_len.get(&trace).copied().unwrap_or(0);
+        let len = self.live_trace(trace).map_or(0, |t| t.len);
         let early = last_idx + 1 != len;
         let backout = self.trident.watch.on_exit(trace, now, early);
         if backout && !self.job_references(trace) {
@@ -854,7 +862,7 @@ impl Machine {
                     return;
                 }
                 entry.being_optimized = true;
-                let len = self.trace_len.get(&trace).copied().unwrap_or(16) as u64;
+                let len = self.live_trace(trace).map_or(16, |t| t.len) as u64;
                 let code = &self.code;
                 let fetch = |pc: u64| code.fetch(pc).expect("optimizer read a corrupt word");
                 let action =
@@ -948,18 +956,23 @@ impl Machine {
         let Some(trace) = self.trident.trace(id) else {
             return;
         };
-        let mut pcs = Vec::with_capacity(trace.insts.len() + 1);
+        let head = trace.head;
         for (i, ti) in trace.insts.iter().enumerate() {
-            let pc = trace.cc_pc(i);
-            self.pc_map.insert(pc, PcInfo { trace: id, index: i, weight: ti.weight });
-            pcs.push(pc);
+            let info = PcInfo { trace: id, index: i, weight: ti.weight, head, orig_pc: ti.orig_pc };
+            self.pc_map.insert(trace.cc_pc(i), info);
         }
         // The patched head is glue: zero weight.
-        self.pc_map.insert(trace.head, PcInfo { trace: id, index: usize::MAX, weight: 0 });
-        pcs.push(trace.head);
-        self.trace_len.insert(id, trace.insts.len());
-        self.trace_head.insert(id, trace.head);
-        self.trace_pcs.insert(id, pcs);
+        let glue = PcInfo { trace: id, index: usize::MAX, weight: 0, head, orig_pc: head };
+        self.pc_map.insert(head, glue);
+        let slot = id.0 as usize;
+        if slot >= self.live.len() {
+            self.live.resize(slot + 1, None);
+        }
+        self.live[slot] = Some(LiveTrace { head, len: trace.insts.len() });
+    }
+
+    fn live_trace(&self, id: TraceId) -> Option<LiveTrace> {
+        self.live.get(id.0 as usize).copied().flatten()
     }
 
     /// Retires a replaced or backed-out trace. The dead body's pc-map
@@ -970,16 +983,12 @@ impl Machine {
     /// Only on a back-out is the head entry removed — the original
     /// instruction (weight 1) lives there again.
     fn retire_trace_map(&mut self, id: TraceId, remove_head: bool) {
-        if remove_head {
-            if let Some(&head) = self.trace_head.get(&id) {
-                if self.pc_map.get(head).is_some_and(|i| i.trace == id) {
-                    self.pc_map.remove(head);
-                }
-            }
+        let Some(t) = self.live.get_mut(id.0 as usize).and_then(Option::take) else {
+            return;
+        };
+        if remove_head && self.pc_map.get(t.head).is_some_and(|i| i.trace == id) {
+            self.pc_map.remove(t.head);
         }
-        self.trace_pcs.remove(&id);
-        self.trace_len.remove(&id);
-        self.trace_head.remove(&id);
     }
 }
 

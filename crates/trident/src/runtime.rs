@@ -150,7 +150,9 @@ pub struct Trident {
     /// Counters.
     pub stats: TridentStats,
     cfg: TridentConfig,
-    traces: HashMap<TraceId, Trace>,
+    /// Registered traces, indexed by [`TraceId`] (ids are handed out
+    /// densely by [`Trident::fresh_id`]).
+    traces: Vec<Option<Trace>>,
     /// Original-code head → currently linked trace.
     head_of: HashMap<u64, TraceId>,
     /// Original instruction at each patched head, for unlinking.
@@ -171,7 +173,7 @@ impl Trident {
             events: EventQueue::new(cfg.event_queue_cap),
             stats: TridentStats::default(),
             cfg,
-            traces: HashMap::new(),
+            traces: Vec::new(),
             head_of: HashMap::new(),
             original_head: HashMap::new(),
             next_id: 0,
@@ -260,13 +262,18 @@ impl Trident {
     /// A registered trace.
     #[must_use]
     pub fn trace(&self, id: TraceId) -> Option<&Trace> {
-        self.traces.get(&id)
+        self.traces.get(id.0 as usize)?.as_ref()
     }
 
     /// The trace currently linked at original-code `head`.
     #[must_use]
     pub fn linked_at(&self, head: u64) -> Option<TraceId> {
         self.head_of.get(&head).copied()
+    }
+
+    /// Unregisters trace `id`, returning it if it was registered.
+    fn take_trace(&mut self, id: TraceId) -> Option<Trace> {
+        self.traces.get_mut(id.0 as usize).and_then(Option::take)
     }
 
     fn fresh_id(&mut self) -> TraceId {
@@ -318,7 +325,7 @@ impl Trident {
         new_insts: Vec<TraceInst>,
     ) -> Result<PendingInstall, InstallError> {
         let (head, is_loop) = {
-            let old_trace = self.traces.get(&old).ok_or(InstallError::UnknownTrace(old))?;
+            let old_trace = self.trace(old).ok_or(InstallError::UnknownTrace(old))?;
             (old_trace.head, old_trace.is_loop)
         };
         let id = self.fresh_id();
@@ -378,7 +385,7 @@ impl Trident {
         let trace = &pending.trace;
         let mut forwards = Vec::new();
         if let Some(old) = pending.replaces {
-            if let Some(old_trace) = self.traces.remove(&old) {
+            if let Some(old_trace) = self.take_trace(old) {
                 self.watch.remove(old);
                 self.code_cache.retire(old_trace.insts.len());
                 self.head_of.remove(&old_trace.head);
@@ -391,7 +398,11 @@ impl Trident {
         }
         self.head_of.insert(trace.head, trace.id);
         self.profiler.mark_traced(trace.head);
-        self.traces.insert(trace.id, trace.clone());
+        let slot = trace.id.0 as usize;
+        if slot >= self.traces.len() {
+            self.traces.resize_with(slot + 1, || None);
+        }
+        self.traces[slot] = Some(trace.clone());
         self.stats.traces_installed += 1;
         self.emit(
             now,
@@ -414,7 +425,7 @@ impl Trident {
     ///
     /// [`InstallError::UnknownTrace`] when `id` is not registered.
     pub fn backout(&mut self, now: u64, id: TraceId) -> Result<Vec<Patch>, InstallError> {
-        let trace = self.traces.remove(&id).ok_or(InstallError::UnknownTrace(id))?;
+        let trace = self.take_trace(id).ok_or(InstallError::UnknownTrace(id))?;
         self.watch.remove(id);
         self.head_of.remove(&trace.head);
         self.code_cache.retire(trace.insts.len());
@@ -440,7 +451,11 @@ impl Trident {
         index: usize,
         ti: TraceInst,
     ) -> Result<(), InstallError> {
-        let t = self.traces.get_mut(&id).ok_or(InstallError::UnknownTrace(id))?;
+        let t = self
+            .traces
+            .get_mut(id.0 as usize)
+            .and_then(Option::as_mut)
+            .ok_or(InstallError::UnknownTrace(id))?;
         t.insts[index] = ti;
         Ok(())
     }
