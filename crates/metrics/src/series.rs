@@ -323,7 +323,7 @@ impl SeriesSnapshot {
         let (&rows, rest) = rest.split_first()?;
         let width = usize::try_from(width).ok()?;
         let rows = usize::try_from(rows).ok()?;
-        let per = 1 + width;
+        let per = width.checked_add(1)?;
         if rest.len() != rows.checked_mul(per)? {
             return None;
         }
@@ -430,6 +430,11 @@ mod tests {
         stale[0] = SERIES_SCHEMA_VERSION + 1;
         assert_eq!(SeriesSnapshot::decode(&stale), None, "future version");
         assert_eq!(SeriesSnapshot::decode(&[]), None);
+        // A width whose row size overflows is damage, not a panic.
+        for rest in [&[][..], &[0], &[0, 1]] {
+            let words = [&[SERIES_SCHEMA_VERSION, u64::MAX, 1][..], rest].concat();
+            assert_eq!(SeriesSnapshot::decode(&words), None, "width overflow");
+        }
         assert_eq!(
             SeriesSnapshot::decode(&SeriesSnapshot::default().encode()),
             Some(SeriesSnapshot::default()),

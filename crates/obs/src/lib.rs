@@ -33,7 +33,6 @@
 
 pub mod event;
 pub mod logline;
-pub mod profile;
 pub mod recorder;
 pub mod span;
 pub mod validate;
@@ -45,7 +44,6 @@ pub use event::{
     DropReason, Event, HelperJobKind, LoadClassKind, PrefetchGroupKind, QueueEventKind,
 };
 pub use logline::{validate_log, Level};
-pub use profile::PhaseTimer;
 pub use recorder::Recorder;
 pub use span::{
     render_flight, validate_flight, FlightKind, FlightRecorder, SpanScope, TraceCtx, TraceIdGen,

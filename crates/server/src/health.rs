@@ -31,8 +31,8 @@ use std::sync::Mutex;
 
 use tdo_metrics::series::{ColKind, Column, Series, SERIES_SCHEMA_VERSION};
 use tdo_metrics::{Gauge, Histogram, Registry};
+use tdo_sim::report::json_escape;
 
-use crate::json::escape;
 use crate::relock;
 
 /// Retained history rows; at the default ~100 ms cadence this is ~25 s of
@@ -284,7 +284,7 @@ impl HealthPlane {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\"", escape(&c.name)));
+            out.push_str(&format!("\"{}\"", json_escape(&c.name)));
         }
         out.push_str("],\"kinds\":[");
         for (i, k) in self.kinds.iter().enumerate() {

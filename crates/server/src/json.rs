@@ -130,24 +130,6 @@ fn parse_batch_tail(p: &mut Parser<'_>) -> Result<RunBody, String> {
     Ok(RunBody::Batch(cells))
 }
 
-/// Escapes a string for embedding in a hand-built JSON body.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -298,7 +280,6 @@ mod tests {
         assert!(parse_object("{}").unwrap().is_empty());
         let pairs = parse_object(r#"{"a":"x\"y\\z\n"}"#).unwrap();
         assert_eq!(pairs[0].1, Value::Str("x\"y\\z\n".into()));
-        assert_eq!(escape("x\"y\\z\n\u{1}"), "x\\\"y\\\\z\\n\\u0001");
     }
 
     #[test]

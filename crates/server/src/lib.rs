@@ -65,13 +65,14 @@ use tdo_fault::Site;
 use tdo_metrics::{Counter, Gauge, Histogram, Registry};
 use tdo_obs::span::{self, OpenSpan};
 use tdo_obs::{FlightKind, TraceCtx, TraceIdGen};
+use tdo_sim::report::json_escape;
 use tdo_sim::{Cell, ExperimentSpec, PrefetchSetup, Runner, SimConfig, SimResult};
 use tdo_store::ShardedStore;
 use tdo_workloads::{build, names, Scale};
 
 use admission::{Admission, Admit};
 use http::{read_request, write_response, write_response_typed, Request};
-use json::{escape, parse_run_body, RunBody, Value};
+use json::{parse_run_body, RunBody, Value};
 use lru::Lru;
 
 /// Default listen address for `tdo serve`.
@@ -1165,7 +1166,7 @@ fn result_json(cell: &Cell, arm: PrefetchSetup, r: &SimResult, coalesced: bool) 
          \"distance_up\":{},\"distance_down\":{},\"matured\":{},\
          \"sw_prefetch_issued\":{},\"sw_prefetch_redundant\":{},\"sw_prefetch_dropped\":{},\
          \"halted\":{}}}",
-        escape(&cell.workload),
+        json_escape(&cell.workload),
         arm.cli_name(),
         if cell.scale == Scale::Full { "full" } else { "test" },
         u8::from(coalesced),
@@ -1280,8 +1281,8 @@ fn workloads_json() -> String {
             build(name, Scale::Test).map(|w| w.description.to_string()).unwrap_or_default();
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"description\":\"{}\"}}",
-            escape(name),
-            escape(&description)
+            json_escape(name),
+            json_escape(&description)
         ));
     }
     out.push_str("]}");
@@ -1289,6 +1290,6 @@ fn workloads_json() -> String {
 }
 
 fn respond_error(stream: &mut TcpStream, status: u16, msg: &str) {
-    let body = format!("{{\"error\":\"{}\"}}", escape(msg));
+    let body = format!("{{\"error\":\"{}\"}}", json_escape(msg));
     let _ = write_response(stream, status, &body);
 }

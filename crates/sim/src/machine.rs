@@ -391,7 +391,7 @@ impl Machine {
     /// `phase`. Disabled-path cost: one branch.
     fn prof_lap(&mut self, phase: usize) {
         if let Some(p) = self.prof.as_deref_mut() {
-            p.timer.lap(phase);
+            p.lap(phase);
         }
     }
 
@@ -543,7 +543,7 @@ impl Machine {
 
     fn step(&mut self) {
         if let Some(p) = self.prof.as_deref_mut() {
-            p.timer.start();
+            p.start();
         }
 
         // 1. One core cycle.
@@ -846,9 +846,6 @@ impl Machine {
                     now,
                     Event::HelperStart { job: id, kind: HelperJobKind::FormTrace, cost },
                 );
-                if let Some(p) = self.prof.as_deref_mut() {
-                    p.job_begin(HelperJobKind::FormTrace, now);
-                }
                 self.pending_job = Some((id, PendingJob::InstallTrace(pending)));
             }
             HotEvent::DelinquentLoad { load_pc: _, trace } => {
@@ -883,9 +880,6 @@ impl Machine {
                 self.next_job_id += 1;
                 self.core.start_helper(HelperJob { id, instructions: cost });
                 self.emit(now, Event::HelperStart { job: id, kind, cost });
-                if let Some(p) = self.prof.as_deref_mut() {
-                    p.job_begin(kind, now);
-                }
                 self.pending_job = Some((id, PendingJob::Opt { action, trace }));
             }
         }
@@ -898,9 +892,6 @@ impl Machine {
         debug_assert_eq!(job_id, id, "one helper job in flight at a time");
         let now = self.core.now();
         self.emit(now, Event::HelperFinish { job: id });
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.job_end(now);
-        }
         match job {
             PendingJob::InstallTrace(pending) => {
                 if self.cfg.no_link {
@@ -1011,15 +1002,8 @@ pub fn run_profiled(workload: &Workload, cfg: &SimConfig) -> (SimResult, Machine
     let t0 = std::time::Instant::now();
     let result = machine.run_inner();
     let run_wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let cycles = machine.core.now();
     let p = machine.prof.take().expect("profiler enabled above");
-    let profile = MachineProfile {
-        phase_wall_ns: p.timer.wall_ns,
-        run_wall_ns,
-        cycles,
-        helper_cycles: p.helper_cycles,
-        helper_jobs: p.helper_jobs,
-    };
+    let profile = MachineProfile { phase_wall_ns: p.wall_ns, run_wall_ns };
     (result, profile)
 }
 

@@ -1,5 +1,5 @@
 //! The machine self-profiler: attributes host wall time to the driver's
-//! phases and simulated cycles to helper-context job kinds.
+//! phases.
 //!
 //! The profiler is the performance counterpart to the event probe
 //! (`tdo_obs::Probe`): disabled it costs one `Option` test per phase
@@ -11,11 +11,10 @@
 //! test in `tests/timeline.rs` pins this down.
 //!
 //! Wall-time numbers are host measurements and therefore
-//! nondeterministic; everything else (simulated cycles, job counts) is
-//! part of the deterministic simulation. Consumers that need
-//! reproducible output (`tdo perf`) must segregate the wall fields.
+//! nondeterministic; consumers that need reproducible output must keep
+//! them apart from the [`crate::SimResult`].
 
-use tdo_obs::{HelperJobKind, PhaseTimer};
+use std::time::Instant;
 
 /// Number of driver phases a step is split into.
 pub const NPHASES: usize = 6;
@@ -45,51 +44,30 @@ pub const PHASE_OPTIMIZER: usize = 4;
 /// Periodic mature-load clearing (phase-change extension).
 pub const PHASE_MATURE: usize = 5;
 
-/// Number of helper-context job kinds tracked.
-pub const NKINDS: usize = 4;
-
-/// Job-kind names, in [`kind_index`] order.
-pub const KIND_NAMES: [&str; NKINDS] =
-    ["form_trace", "insert_prefetches", "repair_distance", "analyze_only"];
-
-/// The fixed index of a helper-job kind.
-#[must_use]
-pub fn kind_index(kind: HelperJobKind) -> usize {
-    match kind {
-        HelperJobKind::FormTrace => 0,
-        HelperJobKind::InsertPrefetches => 1,
-        HelperJobKind::RepairDistance => 2,
-        HelperJobKind::AnalyzeOnly => 3,
-    }
-}
-
-/// Live profiler state owned by a running machine.
+/// Live profiler state owned by a running machine: one wall-clock bucket
+/// per phase and the mark the next lap measures from.
 #[derive(Debug, Default, Clone)]
 pub struct MachineProfiler {
-    /// Per-phase wall-clock attribution.
-    pub timer: PhaseTimer<NPHASES>,
-    /// The in-flight helper job's kind and start cycle.
-    job_start: Option<(HelperJobKind, u64)>,
-    /// Simulated cycles the helper context spent per job kind.
-    pub helper_cycles: [u64; NKINDS],
-    /// Helper jobs finished per kind.
-    pub helper_jobs: [u64; NKINDS],
+    /// Host nanoseconds attributed to each phase so far.
+    pub wall_ns: [u64; NPHASES],
+    mark: Option<Instant>,
 }
 
 impl MachineProfiler {
-    /// Marks a helper job of `kind` starting at simulated cycle `now`.
-    pub fn job_begin(&mut self, kind: HelperJobKind, now: u64) {
-        self.job_start = Some((kind, now));
+    /// Sets the mark the next [`MachineProfiler::lap`] measures from.
+    pub fn start(&mut self) {
+        self.mark = Some(Instant::now());
     }
 
-    /// Attributes the simulated span of the in-flight job ending at
-    /// `now` to its kind.
-    pub fn job_end(&mut self, now: u64) {
-        if let Some((kind, t0)) = self.job_start.take() {
-            let i = kind_index(kind);
-            self.helper_cycles[i] += now.saturating_sub(t0);
-            self.helper_jobs[i] += 1;
+    /// Attributes the time since the last mark to `phase` and re-marks.
+    /// Without a prior mark this only re-marks, attributing nothing.
+    pub fn lap(&mut self, phase: usize) {
+        let now = Instant::now();
+        if let Some(t0) = self.mark {
+            let ns = u64::try_from(now.duration_since(t0).as_nanos()).unwrap_or(u64::MAX);
+            self.wall_ns[phase] = self.wall_ns[phase].saturating_add(ns);
         }
+        self.mark = Some(now);
     }
 }
 
@@ -102,30 +80,6 @@ pub struct MachineProfile {
     /// Host nanoseconds for the whole run (superset of the phases:
     /// includes setup and result assembly).
     pub run_wall_ns: u64,
-    /// Total simulated cycles of the run.
-    pub cycles: u64,
-    /// Simulated helper-context cycles per job kind
-    /// (see [`KIND_NAMES`]).
-    pub helper_cycles: [u64; NKINDS],
-    /// Helper jobs finished per kind.
-    pub helper_jobs: [u64; NKINDS],
-}
-
-impl MachineProfile {
-    /// `(name, wall_ns)` pairs for every phase.
-    pub fn phases(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        PHASE_NAMES.iter().copied().zip(self.phase_wall_ns.iter().copied())
-    }
-
-    /// `(name, simulated_cycles, jobs)` triples for every helper kind.
-    pub fn helper_kinds(&self) -> impl Iterator<Item = (&'static str, u64, u64)> + '_ {
-        KIND_NAMES
-            .iter()
-            .copied()
-            .zip(self.helper_cycles.iter().copied())
-            .zip(self.helper_jobs.iter().copied())
-            .map(|((n, c), j)| (n, c, j))
-    }
 }
 
 #[cfg(test)]
@@ -133,33 +87,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn job_attribution_by_kind() {
+    fn laps_attribute_to_the_named_phase() {
         let mut p = MachineProfiler::default();
-        p.job_begin(HelperJobKind::RepairDistance, 100);
-        p.job_end(350);
-        p.job_begin(HelperJobKind::FormTrace, 400);
-        p.job_end(1000);
-        p.job_end(2000); // no job in flight: ignored
-        assert_eq!(p.helper_cycles[kind_index(HelperJobKind::RepairDistance)], 250);
-        assert_eq!(p.helper_cycles[kind_index(HelperJobKind::FormTrace)], 600);
-        assert_eq!(p.helper_jobs, [1, 0, 1, 0]);
+        p.start();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        p.lap(PHASE_MONITORS);
+        p.lap(PHASE_SAMPLING); // immediate: tiny but attributed
+        assert_eq!(p.wall_ns[PHASE_CORE], 0, "the core phase never lapped");
+        assert!(p.wall_ns[PHASE_MONITORS] >= 1_000_000, "the sleep shows up in its phase");
     }
 
     #[test]
-    fn names_and_indices_agree() {
-        assert_eq!(PHASE_NAMES.len(), NPHASES);
-        assert_eq!(KIND_NAMES.len(), NKINDS);
-        for (i, kind) in [
-            HelperJobKind::FormTrace,
-            HelperJobKind::InsertPrefetches,
-            HelperJobKind::RepairDistance,
-            HelperJobKind::AnalyzeOnly,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            assert_eq!(kind_index(kind), i);
-            assert_eq!(KIND_NAMES[i], kind.name());
-        }
+    fn lap_without_a_mark_attributes_nothing() {
+        let mut p = MachineProfiler::default();
+        p.lap(PHASE_CORE);
+        assert_eq!(p.wall_ns, [0; NPHASES], "no mark, nothing to attribute");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        p.lap(PHASE_EVENTS);
+        assert!(p.wall_ns[PHASE_EVENTS] >= 1_000_000, "the first lap set the mark");
     }
 }

@@ -213,16 +213,16 @@ impl Report {
         for row in &self.rows {
             let _ = write!(
                 out,
-                "{{\"table\":{},\"{}\":{}",
-                json_str(&self.slug),
+                "{{\"table\":\"{}\",\"{}\":\"{}\"",
+                json_escape(&self.slug),
                 self.key_header,
-                json_str(&row.key)
+                json_escape(&row.key)
             );
             if row.footer {
                 let _ = write!(out, ",\"footer\":true");
             }
             for (cell, (h, _)) in row.cells.iter().zip(&self.cols) {
-                let _ = write!(out, ",{}:{}", json_str(h), json_str(cell.trim()));
+                let _ = write!(out, ",\"{}\":\"{}\"", json_escape(h), json_escape(cell.trim()));
             }
             out.push_str("}\n");
         }
@@ -230,21 +230,25 @@ impl Report {
     }
 }
 
-/// Minimal JSON string quoting (the report's content is plain ASCII).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+/// Escapes `s` for embedding between the quotes of a hand-built JSON
+/// string: quote, backslash and the common control characters get their
+/// short forms, every other control character `\uXXXX`.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
-    out.push('"');
     out
 }
 
@@ -297,6 +301,6 @@ mod tests {
 
     #[test]
     fn json_escapes() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\u000a\"");
+        assert_eq!(json_escape("a\"b\\c\n\u{1}"), "a\\\"b\\\\c\\n\\u0001");
     }
 }

@@ -61,11 +61,9 @@ fn recording_does_not_perturb_the_simulation() {
     let (profiled, profile) = run_profiled(&w, &cfg);
     assert_eq!(format!("{plain:?}"), format!("{traced:?}"), "tracing perturbed the simulation");
     assert_eq!(format!("{plain:?}"), format!("{profiled:?}"), "profiling perturbed the simulation");
-    // The profile itself is live: deterministic fields reflect the run...
-    assert!(profile.cycles >= plain.cycles, "profile covers warmup + window");
-    let jobs: u64 = profile.helper_jobs.iter().sum();
-    assert!(jobs > 0, "a self-repair run finishes helper jobs");
-    // ...and the wall clock actually advanced somewhere.
+    // The parity above is only meaningful if the optimizer did run...
+    assert!(profiled.cpu.helper_jobs > 0, "a self-repair run finishes helper jobs");
+    // ...and the profile is live: the wall clock advanced somewhere.
     assert!(profile.run_wall_ns > 0);
     assert!(profile.phase_wall_ns.iter().sum::<u64>() > 0);
     assert!(profile.phase_wall_ns.iter().sum::<u64>() <= profile.run_wall_ns);
