@@ -187,6 +187,10 @@ pub struct CodeImage {
     /// Parity-test aid: when set, [`CodeImage::fetch_op`] ignores the
     /// predecoded arrays and decodes the stored word on every fetch.
     per_fetch_decode: bool,
+    /// Bumped by every change to what [`CodeImage::fetch_op`] may return
+    /// (each word write and each parity-mode switch), so a consumer can
+    /// tell whether an op it fetched earlier is still current.
+    version: u64,
 }
 
 impl CodeImage {
@@ -214,6 +218,7 @@ impl CodeImage {
             cc_ops: Vec::new(),
             code_cache_base,
             per_fetch_decode: false,
+            version: 0,
         }
     }
 
@@ -222,6 +227,14 @@ impl CodeImage {
     /// differential parity suite runs both and byte-compares the results.
     pub fn set_per_fetch_decode(&mut self, on: bool) {
         self.per_fetch_decode = on;
+        self.version += 1;
+    }
+
+    /// The image's version: equal versions guarantee that every
+    /// [`CodeImage::fetch_op`] answers as it did before.
+    #[must_use]
+    pub(crate) fn version(&self) -> u64 {
+        self.version
     }
 
     /// Base address of the code-cache region.
@@ -274,33 +287,38 @@ impl CodeImage {
 
     /// The predecoded op at `pc` — the interpreter's hot fetch path. One
     /// alignment test plus one or two range compares reach a dense array
-    /// slot; no per-fetch decoding (unless the parity mode is on).
+    /// slot; no per-fetch decoding. Inlined into the issue loop so the op
+    /// is read in place from its slot; everything else (overlay addresses,
+    /// unaligned PCs, the per-fetch parity mode) takes the out-of-line
+    /// [`CodeImage::fetch_op_slow`].
+    #[inline]
     #[must_use]
     pub fn fetch_op(&self, pc: u64) -> Option<PredecodedOp> {
-        if self.per_fetch_decode {
-            return self.word_at(pc).map(|w| PredecodedOp::from_word(w, pc));
-        }
-        if pc & (INST_BYTES - 1) != 0 {
-            return None;
-        }
-        if pc >= self.base {
-            let idx = ((pc - self.base) / INST_BYTES) as usize;
-            if idx < self.ops.len() {
-                return Some(self.ops[idx]);
-            }
-        }
-        if pc >= self.code_cache_base {
-            let idx = ((pc - self.code_cache_base) / INST_BYTES) as usize;
-            if idx < self.cc_ops.len() {
-                let op = self.cc_ops[idx];
-                if op.flags & PredecodedOp::F_PRESENT != 0 {
-                    return Some(op);
+        if !self.per_fetch_decode && pc & (INST_BYTES - 1) == 0 {
+            if pc >= self.base {
+                let idx = ((pc - self.base) / INST_BYTES) as usize;
+                if idx < self.ops.len() {
+                    return Some(self.ops[idx]);
                 }
-                return None;
+            }
+            if pc >= self.code_cache_base {
+                let idx = ((pc - self.code_cache_base) / INST_BYTES) as usize;
+                if idx < self.cc_ops.len() {
+                    let op = &self.cc_ops[idx];
+                    return (op.flags & PredecodedOp::F_PRESENT != 0).then_some(*op);
+                }
             }
         }
-        // Cold fallback: overlay addresses outside both dense regions.
-        self.overlay.get(&pc).map(|&w| PredecodedOp::from_word(w, pc))
+        self.fetch_op_slow(pc)
+    }
+
+    /// The cold side of [`CodeImage::fetch_op`]: decodes the stored word.
+    /// Serves the per-fetch parity mode, unaligned PCs (never mapped) and
+    /// overlay addresses outside both dense regions.
+    #[cold]
+    #[inline(never)]
+    fn fetch_op_slow(&self, pc: u64) -> Option<PredecodedOp> {
+        self.word_at(pc).map(|w| PredecodedOp::from_word(w, pc))
     }
 
     /// Re-predecodes the single entry covering `pc` after a word write —
@@ -338,6 +356,7 @@ impl CodeImage {
         if !pc.is_multiple_of(INST_BYTES) {
             return Err(PatchError::Unaligned { addr: pc });
         }
+        self.version += 1;
         if pc >= self.base {
             let idx = ((pc - self.base) / INST_BYTES) as usize;
             if idx < self.words.len() {

@@ -45,31 +45,13 @@ pub enum CommitKind {
     Halt,
 }
 
-/// One committed instruction.
+/// One committed main-thread instruction. [`crate::Core::cycle`] reports
+/// only instructions issued in its own cycle, so the record needs no cycle
+/// stamp.
 #[derive(Clone, Copy, Debug)]
 pub struct Commit {
-    /// Hardware context (0 = main thread, 1 = helper).
-    pub ctx: usize,
     /// Address of the instruction.
     pub pc: u64,
-    /// Address of the next instruction to execute.
-    pub next_pc: u64,
-    /// Cycle of issue.
-    pub cycle: u64,
     /// Payload.
     pub kind: CommitKind,
-}
-
-impl Commit {
-    /// Whether this commit is a conditional branch.
-    #[must_use]
-    pub fn is_cond_branch(&self) -> bool {
-        matches!(self.kind, CommitKind::Branch { .. })
-    }
-
-    /// Whether this commit is a demand load.
-    #[must_use]
-    pub fn is_load(&self) -> bool {
-        matches!(self.kind, CommitKind::Load { .. })
-    }
 }

@@ -1,9 +1,9 @@
 //! The cycle-based SMT core.
 //!
 //! Two hardware contexts share the fetch/issue bandwidth of one pipeline.
-//! Context 0 runs the simulated program; context 1 is the *helper* context
-//! that Trident occupies to run the dynamic optimizer concurrently with the
-//! main thread (paper §3.1). The main thread has issue priority; the helper
+//! The main context runs the simulated program; the other is the *helper*
+//! context that Trident occupies to run the dynamic optimizer concurrently
+//! with the main thread (paper §3.1). The main thread has issue priority; the helper
 //! consumes only leftover slots, which is what keeps the measured optimizer
 //! overhead small (paper §5.1).
 //!
@@ -21,15 +21,6 @@ use crate::code::{CodeImage, PredecodedOp};
 use crate::commit::{Commit, CommitKind};
 use crate::config::CpuConfig;
 use crate::stats::CpuStats;
-
-/// Number of hardware contexts.
-pub const NUM_CONTEXTS: usize = 2;
-
-/// Index of the main (program) context.
-pub const MAIN_CTX: usize = 0;
-
-/// Index of the helper (optimizer) context.
-pub const HELPER_CTX: usize = 1;
 
 /// Synthetic PC base used for helper-thread memory accesses so they are
 /// distinguishable in the hierarchy's PC-indexed structures.
@@ -82,7 +73,10 @@ pub struct Core {
     ctx: Context,
     helper: HelperState,
     finished_job: Option<u64>,
-    commits: Vec<Commit>,
+    /// The main context's head op as last seen blocked on its sources:
+    /// `(pc, code version, cycle both sources are ready)`. Cleared by
+    /// every issue, the only thing that moves the pc or the scoreboard.
+    blocked: Option<(u64, u64, u64)>,
     /// Counters.
     pub stats: CpuStats,
 }
@@ -98,7 +92,7 @@ impl Core {
             ctx: Context::new(entry),
             helper: HelperState::Idle,
             finished_job: None,
-            commits: Vec::with_capacity(8),
+            blocked: None,
             stats: CpuStats::default(),
         }
     }
@@ -166,20 +160,27 @@ impl Core {
     /// instruction's sources; nothing else in the core advances state on
     /// an idle cycle, so the driver may batch-skip the clock to the hint
     /// (see [`Core::skip_to`]) without changing architectural behaviour.
+    ///
+    /// When the issue loop last stopped on this very op, blocked on its
+    /// sources, and the image has not changed since, the recorded ready
+    /// cycle stands in for a second fetch: no issue has moved the
+    /// scoreboard in between.
     #[must_use]
     pub fn idle_hint(&self, code: &CodeImage) -> Option<u64> {
         if !matches!(self.helper, HelperState::Idle) || self.ctx.halted {
             return None;
         }
-        let op = code.fetch_op(self.ctx.pc)?;
-        if op.is_invalid() {
-            return None; // let the issue path fault loudly
-        }
-        let t = self
-            .ctx
-            .stall_until
-            .max(self.ctx.ready_at[op.use0 as usize])
-            .max(self.ctx.ready_at[op.use1 as usize]);
+        let ready = match self.blocked {
+            Some((pc, version, ready)) if pc == self.ctx.pc && version == code.version() => ready,
+            _ => {
+                let op = code.fetch_op(self.ctx.pc)?;
+                if op.is_invalid() {
+                    return None; // let the issue path fault loudly
+                }
+                self.ctx.ready_at[op.use0 as usize].max(self.ctx.ready_at[op.use1 as usize])
+            }
+        };
+        let t = self.ctx.stall_until.max(ready);
         (t > self.cycle).then_some(t)
     }
 
@@ -192,32 +193,32 @@ impl Core {
         self.cycle = target;
     }
 
-    /// Runs one cycle; returns the instructions committed this cycle.
+    /// Runs one cycle, appending the instructions it commits to `commits`.
     pub fn cycle(
         &mut self,
         code: &CodeImage,
         data: &mut Memory,
         hier: &mut Hierarchy,
-    ) -> &[Commit] {
-        self.commits.clear();
+        commits: &mut Vec<Commit>,
+    ) {
         let mut budget = self.cfg.issue_width;
         let mut mem_ports = self.cfg.mem_ports;
         let mut fp_units = self.cfg.fp_units;
 
-        self.issue_main(code, data, hier, &mut budget, &mut mem_ports, &mut fp_units);
+        self.issue_main(code, data, hier, commits, &mut budget, &mut mem_ports, &mut fp_units);
         self.issue_helper(hier, &mut budget, &mut mem_ports);
 
         self.cycle += 1;
         self.stats.cycles += 1;
-        &self.commits
     }
 
-    #[allow(clippy::too_many_lines)]
+    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     fn issue_main(
         &mut self,
         code: &CodeImage,
         data: &mut Memory,
         hier: &mut Hierarchy,
+        commits: &mut Vec<Commit>,
         budget: &mut u32,
         mem_ports: &mut u32,
         fp_units: &mut u32,
@@ -231,13 +232,7 @@ impl Core {
             let Some(op) = code.fetch_op(pc) else {
                 // Ran off mapped code: treat as halt.
                 self.ctx.halted = true;
-                self.commits.push(Commit {
-                    ctx: MAIN_CTX,
-                    pc,
-                    next_pc: pc,
-                    cycle: now,
-                    kind: CommitKind::Halt,
-                });
+                commits.push(Commit { pc, kind: CommitKind::Halt });
                 return;
             };
             if op.is_invalid() {
@@ -249,9 +244,10 @@ impl Core {
             // Scoreboard: in-order issue waits for source operands. The
             // predecoded indices point at real registers or the
             // always-ready 65th slot.
-            if self.ctx.ready_at[op.use0 as usize] > now
-                || self.ctx.ready_at[op.use1 as usize] > now
-            {
+            let ready =
+                self.ctx.ready_at[op.use0 as usize].max(self.ctx.ready_at[op.use1 as usize]);
+            if ready > now {
+                self.blocked = Some((pc, code.version(), ready));
                 return;
             }
             // Structural hazards, from predecoded flags.
@@ -352,9 +348,10 @@ impl Core {
             }
 
             self.ctx.pc = next_pc;
+            self.blocked = None;
             self.stats.main_committed += 1;
             *budget -= 1;
-            self.commits.push(Commit { ctx: MAIN_CTX, pc, next_pc, cycle: now, kind });
+            commits.push(Commit { pc, kind });
             if redirect || self.ctx.halted {
                 // Cannot fetch past a taken control transfer in the same cycle.
                 return;
@@ -452,7 +449,7 @@ mod tests {
         let mut hier = Hierarchy::new(MemConfig::tiny_for_tests());
         let mut core = Core::new(CpuConfig::paper_baseline(), prog.entry);
         for _ in 0..max_cycles {
-            core.cycle(&img, &mut data, &mut hier);
+            core.cycle(&img, &mut data, &mut hier, &mut Vec::new());
             if core.halted() {
                 break;
             }
@@ -585,7 +582,7 @@ mod tests {
         assert!(!core.start_helper(HelperJob { id: 8, instructions: 1 }), "busy");
         let mut finished = None;
         for _ in 0..2_000_000 {
-            core.cycle(&img, &mut data, &mut hier);
+            core.cycle(&img, &mut data, &mut hier, &mut Vec::new());
             if let Some(id) = core.take_finished_job() {
                 finished = Some((id, core.now()));
             }
@@ -615,46 +612,153 @@ mod tests {
         let mut data = Memory::new();
         let mut hier = Hierarchy::new(MemConfig::tiny_for_tests());
         let mut core = Core::new(CpuConfig::paper_baseline(), prog.entry);
-        core.cycle(&img, &mut data, &mut hier);
+        core.cycle(&img, &mut data, &mut hier, &mut Vec::new());
+    }
+
+    /// Two cold loads, then a consumer of the first at label `use`: a long
+    /// scoreboard stall with the consumer as the blocked head op.
+    fn stall_program() -> (Asm, u64) {
+        let (rp, rv, rs) = (Reg::int(1), Reg::int(2), Reg::int(3));
+        let mut a = Asm::new(0x1000);
+        a.li(rp, 0x10_0000);
+        a.ldq(rv, rp, 0);
+        a.ldq(Reg::int(5), rp, 0x8_0000);
+        a.label("use");
+        a.op(AluOp::Add, rs, rv, rs);
+        a.halt();
+        let at = a.label_addr("use").unwrap();
+        (a, at)
+    }
+
+    fn image(a: &Asm) -> CodeImage {
+        let code = a.assemble().unwrap();
+        let prog =
+            Program { name: "t".into(), entry: a.base(), code_base: a.base(), code, data: vec![] };
+        CodeImage::new(&prog, 0x100_0000)
+    }
+
+    fn add(ra: Reg, rb: Reg) -> tdo_isa::Word {
+        tdo_isa::encode(&Inst::Op { op: AluOp::Add, ra, rb, rc: Reg::int(3) }).unwrap()
+    }
+
+    /// The idle hint recomputed from a fresh fetch, bypassing the
+    /// blocked-op record.
+    fn fetched_hint(core: &Core, img: &CodeImage) -> Option<u64> {
+        let op = img.fetch_op(core.pc())?;
+        let ready = core.ctx.ready_at[op.use0 as usize].max(core.ctx.ready_at[op.use1 as usize]);
+        let t = core.ctx.stall_until.max(ready);
+        (t > core.now()).then_some(t)
+    }
+
+    #[test]
+    fn idle_hint_refetches_a_patched_blocked_op() {
+        let (asm, use_pc) = stall_program();
+        let mut img = image(&asm);
+        let mut data = Memory::new();
+        let mut hier = Hierarchy::new(MemConfig::tiny_for_tests());
+        let mut core = Core::new(CpuConfig::paper_baseline(), asm.base());
+        while core.pc() != use_pc || core.blocked.is_none() {
+            core.cycle(&img, &mut data, &mut hier, &mut Vec::new());
+        }
+        let stalled = core.idle_hint(&img);
+        assert!(stalled.is_some_and(|t| t > core.now() + 50), "cold load stalls: {stalled:?}");
+        assert_eq!(stalled, fetched_hint(&core, &img));
+        // Patches between cycles: the head op to sources ready now, to the
+        // other cold load and to both loads; a word elsewhere in the image;
+        // and the head op back to the original's pending source.
+        let (r2, r4, r5) = (Reg::int(2), Reg::int(4), Reg::int(5));
+        for (pc, word) in [
+            (use_pc, add(r4, r4)),
+            (use_pc, add(r5, r4)),
+            (use_pc, add(r5, r2)),
+            (0x100_0000, add(r4, r4)),
+            (use_pc, add(r2, r4)),
+        ] {
+            img.write_word(pc, word).unwrap();
+            assert_eq!(
+                core.idle_hint(&img),
+                fetched_hint(&core, &img),
+                "patch {word:#x} at {pc:#x}"
+            );
+        }
+        assert_eq!(core.idle_hint(&img), stalled, "back to the original sources");
+        img.write_word(use_pc, add(r4, r4)).unwrap();
+        assert_eq!(core.idle_hint(&img), None, "sources ready: no stall");
+        core.cycle(&img, &mut data, &mut hier, &mut Vec::new());
+        assert_ne!(core.pc(), use_pc, "the patched op issued at once");
+    }
+
+    #[test]
+    fn idle_hint_matches_a_fresh_fetch_on_every_cycle() {
+        // Each iteration's head op consumes the previous iteration's cold
+        // load and is the only op that blocks, so the loop re-reaches the
+        // pc it was last blocked at, now with a later ready cycle: a record
+        // kept across the issues in between would be stale.
+        let (rp, rv, rs, rn) = (Reg::int(1), Reg::int(2), Reg::int(3), Reg::int(7));
+        let mut a = Asm::new(0x1000);
+        a.li(rp, 0x10_0000);
+        a.li(rn, 6);
+        a.ldq(rv, rp, 0);
+        a.label("loop");
+        a.op(AluOp::Add, rs, rv, rs);
+        a.op_imm(AluOp::Sub, rn, 1, rn);
+        a.ldq(rv, rp, 4096);
+        a.lda(rp, rp, 4096);
+        a.bcond_to(Cond::Ne, rn, "loop");
+        a.halt();
+        let img = image(&a);
+        let mut data = Memory::new();
+        let mut hier = Hierarchy::new(MemConfig::tiny_for_tests());
+        let mut core = Core::new(CpuConfig::paper_baseline(), a.base());
+        let mut stalls = 0;
+        while !core.halted() {
+            let hint = core.idle_hint(&img);
+            assert_eq!(hint, fetched_hint(&core, &img), "cycle {}", core.now());
+            stalls += u32::from(hint.is_some());
+            core.cycle(&img, &mut data, &mut hier, &mut Vec::new());
+        }
+        assert!(stalls > 6 * 100, "every iteration stalls on its load: {stalls}");
     }
 
     #[test]
     fn idle_skip_matches_cycle_by_cycle_execution() {
-        // A cold load followed by a dependent consumer exposes a long
-        // scoreboard stall; driving it with idle_hint/skip_to must land on
-        // the same architectural state and cycle count as stepping through
-        // every stall cycle.
-        fn program() -> Asm {
-            let (rp, rv, rs) = (Reg::int(1), Reg::int(2), Reg::int(3));
-            let mut a = Asm::new(0x1000);
-            a.li(rp, 0x10_0000);
-            a.ldq(rv, rp, 0);
-            a.op(AluOp::Add, rs, rv, rs);
-            a.halt();
-            a
-        }
-        let run = |skip: bool| {
-            let code = program().assemble().unwrap();
-            let prog =
-                Program { name: "t".into(), entry: 0x1000, code_base: 0x1000, code, data: vec![] };
-            let img = CodeImage::new(&prog, 0x100_0000);
+        // The stall program's long scoreboard stall, driven with
+        // idle_hint/skip_to, must land on the same architectural state and
+        // cycle count as stepping through every stall cycle — also when
+        // the blocked op is patched mid-stall to sources that are ready,
+        // which the skipping driver must not jump over.
+        const PATCH_AT: u64 = 40;
+        let run = |skip: bool, patch: bool| {
+            let (asm, use_pc) = stall_program();
+            let mut img = image(&asm);
             let mut data = Memory::new();
             let mut hier = Hierarchy::new(MemConfig::tiny_for_tests());
-            let mut core = Core::new(CpuConfig::paper_baseline(), prog.entry);
+            let mut core = Core::new(CpuConfig::paper_baseline(), asm.base());
             for _ in 0..100_000 {
+                if patch && core.now() == PATCH_AT {
+                    assert_eq!(core.pc(), use_pc, "patching the blocked op");
+                    img.write_word(use_pc, add(Reg::int(4), Reg::int(4))).unwrap();
+                }
                 if skip {
                     if let Some(t) = core.idle_hint(&img) {
+                        if patch && core.now() < PATCH_AT && t >= PATCH_AT {
+                            core.skip_to(PATCH_AT);
+                            continue; // patch before anything issues there
+                        }
                         core.skip_to(t);
                     }
                 }
-                core.cycle(&img, &mut data, &mut hier);
+                core.cycle(&img, &mut data, &mut hier, &mut Vec::new());
                 if core.halted() {
                     break;
                 }
             }
             (core.stats.cycles, core.reg(Reg::int(3)), core.now())
         };
-        assert_eq!(run(false), run(true));
+        assert_eq!(run(false, false), run(true, false));
+        assert_eq!(run(false, true), run(true, true));
+        assert!(run(true, true).2 < PATCH_AT + 10, "the patch ended the stall");
+        assert!(run(true, false).2 > PATCH_AT + 50);
     }
 
     #[test]
@@ -668,7 +772,8 @@ mod tests {
         let mut data = Memory::new();
         let mut hier = Hierarchy::new(MemConfig::tiny_for_tests());
         let mut core = Core::new(CpuConfig::paper_baseline(), prog.entry);
-        let commits = core.cycle(&img, &mut data, &mut hier);
-        assert!(matches!(commits[0].kind, CommitKind::Halt));
+        let mut commits = Vec::new();
+        core.cycle(&img, &mut data, &mut hier, &mut commits);
+        assert!(matches!(commits[..], [Commit { pc: 0x1000, kind: CommitKind::Halt }]));
     }
 }

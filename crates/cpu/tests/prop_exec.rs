@@ -111,7 +111,7 @@ fn core_matches_reference_interpreter() {
         let mut core = Core::new(CpuConfig::paper_baseline(), prog.entry);
         let mut cycles = 0u64;
         while !core.halted() {
-            core.cycle(&img, &mut data, &mut hier);
+            core.cycle(&img, &mut data, &mut hier, &mut Vec::new());
             cycles += 1;
             assert!(cycles < 2_000_000, "case {case}: program must terminate");
         }

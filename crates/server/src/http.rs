@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use tdo_fault::Site;
 
 /// Upper bound on the request head (request line + headers).
-const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body.
 pub const MAX_BODY_BYTES: usize = 64 * 1024;
 

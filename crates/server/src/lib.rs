@@ -201,7 +201,7 @@ struct Metrics {
 
 /// Every `reason` label on `tdo_server_bad_requests_total`; one per
 /// malformed-request early-return path.
-const BAD_REQUEST_REASONS: [&str; 10] = [
+pub const BAD_REQUEST_REASONS: [&str; 10] = [
     "read_failed",
     "head_too_large",
     "body_too_large",

@@ -1,9 +1,9 @@
 //! Seeded malformed-input sweep over the pure parsers of outside bytes.
 //!
-//! Every parser below reads bytes that arrive from outside the process: a
-//! `/run` request body, a scraped Prometheus exposition, structured logs,
-//! event traces, store records and index files, persisted results and
-//! metrics history. Each test builds valid encodings with the real
+//! Every parser below reads bytes that arrive from outside the process: an
+//! HTTP request, a `/run` request body, a scraped Prometheus exposition,
+//! structured logs, event traces and flight-recorder dumps, store records
+//! and index files, persisted results and metrics history. Each test builds valid encodings with the real
 //! producers and checks they round-trip, then feeds the parser seeded
 //! mutations of them: truncation, bit flips, inserted JSON punctuation and
 //! inserted wild words. The properties:
@@ -17,15 +17,21 @@
 //! Case counts scale with `tdo_rand::cases` (8× under `exhaustive`).
 
 use std::fmt::Debug;
+use std::io::{self, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 use tdo_metrics::expo::parse_text;
 use tdo_metrics::series::{SeriesRow, SeriesSnapshot};
 use tdo_metrics::Registry;
 use tdo_obs::logline::{format_line, Level};
-use tdo_obs::{validate_chrome_trace, validate_jsonl, validate_log};
+use tdo_obs::span::{parse_flight, EvKind, FlightKind, FlightRecord, FlightRecorder, ID_MASK};
+use tdo_obs::{validate_chrome_trace, validate_flight, validate_jsonl, validate_log};
 use tdo_rand::Rng;
+use tdo_server::http::{read_request, reject_reason, Request, MAX_BODY_BYTES, MAX_HEAD_BYTES};
 use tdo_server::json::{parse_run_body, RunBody, Value};
+use tdo_server::BAD_REQUEST_REASONS;
 use tdo_sim::report::json_escape;
 use tdo_sim::{decode_result, encode_result, run_traced, PrefetchSetup, SimConfig, SimResult};
 use tdo_store::record::{decode_index, decode_record, encode_index, encode_record, Decoded};
@@ -211,6 +217,154 @@ fn run_body_parser_survives_damage_and_round_trips() {
             }
             Ok(b) => assert_eq!(parse_run_body(&render_body(&b)), Ok(b), "case {case}"),
             Err(e) => assert!(!e.is_empty(), "case {case}: errors carry a message"),
+        }
+    }
+}
+
+/// Sends `bytes` as a whole connection over a loopback pair, the writer
+/// half shut down after it, and reads it back with the daemon's reader.
+/// Both ends run on the calling thread; every input is at most a few tens
+/// of KB, well inside the loopback socket buffers.
+fn read_over_loopback(listener: &TcpListener, bytes: &[u8]) -> io::Result<Request> {
+    let mut client = TcpStream::connect(listener.local_addr()?)?;
+    let (mut server, _) = listener.accept()?;
+    client.set_write_timeout(Some(Duration::from_secs(10)))?;
+    server.set_read_timeout(Some(Duration::from_secs(10)))?;
+    client.write_all(bytes)?;
+    client.shutdown(Shutdown::Write)?;
+    read_request(&mut server)
+}
+
+fn render_request(method: &str, path: &str, headers: &[String], body: &str) -> String {
+    let mut head = format!("{method} {path} HTTP/1.1\r\n");
+    for h in headers {
+        head.push_str(h);
+        head.push_str("\r\n");
+    }
+    format!("{head}\r\n{body}")
+}
+
+#[test]
+fn http_request_reader_survives_damage_and_round_trips() {
+    const METHODS: &[&str] = &["GET", "POST", "post", "PUT", "Delete"];
+    const PATHS: &[&str] = &["/", "/run", "/metrics?format=prom", "/health", "/debug/flight"];
+    let listener = TcpListener::bind("127.0.0.1:0").expect("loopback listener");
+    let mut rng = Rng::new(0x5eed_0008);
+    let mut reasons_seen = std::collections::BTreeSet::new();
+    for case in 0..tdo_rand::cases(300) {
+        let method = *rng.choose(METHODS);
+        let path = *rng.choose(PATHS);
+        let body = if rng.gen_bool(0.5) {
+            render_body(&RunBody::Single(random_object(&mut rng)))
+        } else {
+            random_string(&mut rng, 64)
+        };
+        let mut headers = vec!["Host: 127.0.0.1".to_string()];
+        if rng.gen_bool(0.3) {
+            headers
+                .push(format!("X-Note: {}", random_string(&mut rng, 12).replace(['\r', '\n'], "")));
+        }
+        headers.push(format!("content-length: {}", body.len()));
+        let text = render_request(method, path, &headers, &body);
+        let req = read_over_loopback(&listener, text.as_bytes()).expect("valid request reads");
+        assert_eq!(
+            (req.method.as_str(), req.path.as_str(), req.body.as_str()),
+            (method.to_ascii_uppercase().as_str(), path, body.as_str()),
+            "case {case}"
+        );
+
+        // Seeded damage, plus heads and bodies over the limits.
+        let (bad, damage) = match rng.gen_index(6) {
+            0 => {
+                let pad = "a".repeat(MAX_HEAD_BYTES + 1024 + rng.gen_index(4096));
+                let mut big = headers.clone();
+                big.insert(1, format!("X-Pad: {pad}"));
+                (render_request(method, path, &big, &body).into_bytes(), None)
+            }
+            1 => {
+                let len = MAX_BODY_BYTES + 1 + rng.gen_index(1 << 20);
+                let mut big = headers.clone();
+                *big.last_mut().unwrap() = format!("Content-Length: {len}");
+                (render_request(method, path, &big, &body).into_bytes(), None)
+            }
+            _ => {
+                let (b, d) = mutate_bytes(&mut rng, text.as_bytes());
+                (b, Some(d))
+            }
+        };
+        let read = no_panic("read_request", case, &String::from_utf8_lossy(&bad), || {
+            read_over_loopback(&listener, &bad)
+        });
+        match read {
+            Ok(r) => {
+                assert!(damage != Some(Damage::Truncated), "case {case}: a cut request read");
+                // What the reader accepts reads back the same when re-sent.
+                let len = format!("Content-Length: {}", r.body.len());
+                let again = render_request(&r.method, &r.path, &[len], &r.body);
+                let back =
+                    read_over_loopback(&listener, again.as_bytes()).expect("re-sent request");
+                assert_eq!((back.method, back.path, back.body), (r.method, r.path, r.body));
+            }
+            Err(e) => {
+                let reason = reject_reason(&e);
+                assert!(BAD_REQUEST_REASONS.contains(&reason), "case {case}: reason {reason}");
+                assert_ne!(reason, "read_failed", "case {case}: transport error {e}");
+                if damage == Some(Damage::Truncated) {
+                    assert_eq!(reason, "closed_early", "case {case}");
+                }
+                reasons_seen.insert(reason);
+            }
+        }
+    }
+    for reason in ["head_too_large", "body_too_large", "closed_early"] {
+        assert!(reasons_seen.contains(reason), "no case reached {reason}: {reasons_seen:?}");
+    }
+}
+
+/// A dump of random records, every field in the 63 bits the span API
+/// writes (it masks ids and arguments with `ID_MASK`).
+fn random_flight_dump(rng: &mut Rng) -> (String, usize) {
+    let rec = FlightRecorder::with_capacity(64);
+    let n = 1 + rng.gen_index(24);
+    let word = |rng: &mut Rng| (rng.next_u64() >> rng.gen_index(64)) & ID_MASK;
+    for _ in 0..n {
+        rec.record_raw(&FlightRecord {
+            ts: word(rng),
+            trace: rng.gen_range(0..4),
+            span: word(rng),
+            parent: word(rng),
+            kind: *rng.choose(&[FlightKind::Request, FlightKind::RunCell, FlightKind::Fault]),
+            ev: *rng.choose(&[EvKind::Begin, EvKind::End, EvKind::Point]),
+            arg: if rng.gen_bool(0.2) { ID_MASK } else { word(rng) },
+        });
+    }
+    (rec.dump(), n)
+}
+
+#[test]
+fn flight_dump_validator_survives_damage() {
+    let mut rng = Rng::new(0x5eed_0009);
+    for case in 0..tdo_rand::cases(400) {
+        let (dump, n) = random_flight_dump(&mut rng);
+        assert_eq!(validate_flight(&dump), Ok(n), "case {case}: {dump}");
+
+        let (bad, damage) = mutate_text(&mut rng, &dump);
+        let checked = no_panic("validate_flight", case, &bad, || validate_flight(&bad));
+        match checked {
+            Ok(k) => {
+                // An accepted dump re-serializes to a dump that validates
+                // with the same records.
+                let recs = parse_flight(&bad).expect("validated dumps parse");
+                assert_eq!(recs.len(), k, "case {case}");
+                let again: String = recs.iter().map(|r| r.to_json() + "\n").collect();
+                assert_eq!(validate_flight(&again), Ok(k), "case {case}");
+                assert_eq!(parse_flight(&again), Ok(recs), "case {case}");
+            }
+            Err(e) => assert!(!e.is_empty(), "case {case}: errors carry a message"),
+        }
+        // Every line is one flat object; a cut inside a line leaves it open.
+        if damage == Damage::Truncated && !bad.is_empty() && !bad.ends_with(['}', '\n']) {
+            assert!(validate_flight(&bad).is_err(), "case {case}: a cut dump validated: {bad}");
         }
     }
 }

@@ -546,11 +546,12 @@ impl Machine {
             p.start();
         }
 
-        // 1. One core cycle.
-        let commits = self.core.cycle(&self.code, &mut self.data, &mut self.hier);
+        // 1. One core cycle, committing straight into the machine's buffer
+        // (moved out for the loop below, which needs `&mut self`).
+        let now = self.core.now();
         let mut buf = std::mem::take(&mut self.commit_buf);
         buf.clear();
-        buf.extend_from_slice(commits);
+        self.core.cycle(&self.code, &mut self.data, &mut self.hier, &mut buf);
         self.prof_lap(PHASE_CORE);
 
         // Phases 2–5 lap the profiler clock only when they actually did
@@ -563,7 +564,7 @@ impl Machine {
         // 2. Feed the monitors.
         if !buf.is_empty() {
             for c in &buf {
-                self.observe_commit(c);
+                self.observe_commit(c, now);
             }
             self.prof_lap(PHASE_MONITORS);
         }
@@ -696,7 +697,7 @@ impl Machine {
         }
     }
 
-    fn observe_commit(&mut self, c: &Commit) {
+    fn observe_commit(&mut self, c: &Commit, now: u64) {
         let info = self.pc_map.get(c.pc);
         let in_trace = info.filter(|i| i.index != usize::MAX);
         let weight = match info {
@@ -707,7 +708,6 @@ impl Machine {
         self.counters.orig_insts += weight;
 
         // Trace entry/exit tracking for the watch table.
-        let now = c.cycle;
         match (self.cur_trace, in_trace) {
             (Some((old, last_idx)), Some(i)) if i.trace == old => {
                 if i.index == 0 {
@@ -765,7 +765,7 @@ impl Machine {
                             self.trident.watch.get(i.trace).is_none_or(|e| e.being_optimized);
                         if !suppressed {
                             self.trident.push_event(
-                                c.cycle,
+                                now,
                                 HotEvent::DelinquentLoad { load_pc: c.pc, trace: i.trace },
                             );
                             self.counters.dlt_events_queued += 1;
@@ -776,10 +776,10 @@ impl Machine {
             CommitKind::Branch { taken, target, .. }
                 if info.is_none() && self.optimization_enabled() =>
             {
-                self.trident.observe_branch(c.cycle, c.pc, taken, target, true);
+                self.trident.observe_branch(now, c.pc, taken, target, true);
             }
             CommitKind::Jump { target } if info.is_none() && self.optimization_enabled() => {
-                self.trident.observe_branch(c.cycle, c.pc, true, target, false);
+                self.trident.observe_branch(now, c.pc, true, target, false);
             }
             _ => {}
         }

@@ -144,13 +144,13 @@ fn runtime_code_patching_is_visible_to_the_core() {
     let mut hier = Hierarchy::new(MemConfig::tiny_for_tests());
     let mut core = Core::new(CpuConfig::paper_baseline(), 0x1000);
     for _ in 0..100 {
-        core.cycle(&code, &mut data, &mut hier);
+        core.cycle(&code, &mut data, &mut hier, &mut Vec::new());
     }
     assert!(!core.halted(), "spinning");
     // Patch the add into a halt.
     code.write_word(0x1000, tdo::isa::encode(&Inst::Halt).unwrap()).unwrap();
     for _ in 0..100 {
-        core.cycle(&code, &mut data, &mut hier);
+        core.cycle(&code, &mut data, &mut hier, &mut Vec::new());
         if core.halted() {
             break;
         }
